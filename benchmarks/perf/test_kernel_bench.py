@@ -2,7 +2,8 @@
 
 Each benchmark times one vectorized hot path and first checks the
 kernel agrees with the scalar reference (≤ 1e-9 relative — in
-practice bit-exact), so a perf regression hunt can never silently
+practice bit-exact; the buffering search is compared with its scalar
+test oracle), so a perf regression hunt can never silently
 trade away correctness.  The ``repro bench`` CLI covers the same
 ground end-to-end; these isolate the kernel calls for
 pytest-benchmark's statistics.
@@ -63,15 +64,13 @@ def test_monte_carlo_kernel_engine(benchmark, suite90, line90,
 
 
 def test_batched_power_search(benchmark, suite90):
-    """Batched min-power search returns the scalar optimizer's answer."""
+    """The lockstep min-power search returns the scalar reference
+    search's answer."""
     from repro.buffering.optimizer import minimize_power_under_delay
+    from tests.buffering import reference_search as reference
     model = suite90.proposed
     max_delay = suite90.tech.clock_period()
-    scalar = minimize_power_under_delay(model, mm(5), max_delay,
-                                        use_kernels=False)
-    kernel = minimize_power_under_delay(model, mm(5), max_delay,
-                                        use_kernels=True)
-    assert scalar == kernel
+    assert minimize_power_under_delay(model, mm(5), max_delay) \
+        == reference.minimize_power_under_delay(model, mm(5), max_delay)
 
-    benchmark(minimize_power_under_delay, model, mm(5), max_delay,
-              use_kernels=True)
+    benchmark(minimize_power_under_delay, model, mm(5), max_delay)

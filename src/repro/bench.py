@@ -1,10 +1,10 @@
 """Scalar-vs-kernel benchmarks: the repo's tracked perf trajectory.
 
-``repro bench`` times the two hot paths that the vectorized kernels
-accelerate — Monte-Carlo variation analysis and link-design sweeps —
-once on the scalar reference path and once on the batched kernels,
-checks the results agree (≤ :data:`EQUIVALENCE_RTOL` relative), and
-writes ``BENCH_kernels.json``:
+``repro bench`` times the Monte-Carlo variation analysis the
+vectorized kernels accelerate once on the scalar reference path
+(the ``"model"`` engine) and once on the batched kernels, checks the
+results agree (≤ :data:`EQUIVALENCE_RTOL` relative), and writes
+``BENCH_kernels.json``:
 
 .. code-block:: json
 
@@ -27,7 +27,9 @@ kernel/scalar equivalence drifts.
 
 Timing uses ``time.perf_counter`` (a duration, not a wall clock) and
 runs the scalar path at ``workers=1``, so the recorded speedup is the
-single-process algorithmic win, not parallelism.
+single-process algorithmic win, not parallelism.  The harness here —
+:class:`BenchResult`, :func:`time_pair` and :func:`max_rel_diff` — is
+shared with the LUT-tier bench (:mod:`repro.bench_lut`).
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench_registry import BenchSample
 from repro.units import mm, ps
 
 #: Bump when the BENCH_kernels.json layout changes incompatibly.
@@ -51,19 +54,23 @@ EQUIVALENCE_RTOL = 1e-9
 DEFAULT_SAMPLES = 10_000
 QUICK_SAMPLES = 2_000
 
-#: Link-sweep lengths in millimeters (full / --quick).
-SWEEP_LENGTHS_MM = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-QUICK_SWEEP_LENGTHS_MM = (1.0, 3.0, 5.0)
-
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One scalar-vs-kernel timing comparison.
+    """One reference-vs-candidate timing comparison.
 
-    With ``reps > 1`` the wall times are means over the repetitions
-    and the ``*_wall_se`` fields carry the standard error of those
-    means (from the per-rep timing histograms), which is what makes
-    ``repro bench diff``'s noise gate meaningful.
+    ``scalar_wall_s`` times the reference path and ``kernel_wall_s``
+    the candidate (the registry's ``op`` schema names; ``labels`` only
+    changes how :meth:`format` prints them).  With ``reps > 1`` the
+    wall times are means over the repetitions and the ``*_wall_se``
+    fields carry the standard error of those means (from the per-rep
+    timing histograms), which is what makes ``repro bench diff``'s
+    noise gate meaningful.
+
+    The gate is equivalence within :data:`EQUIVALENCE_RTOL` unless
+    the suite brings its own: a result with ``gate_ok`` set (the LUT
+    tier) passes when that gate holds and the speedup clears
+    ``speedup_floor``.
     """
 
     op: str
@@ -74,10 +81,14 @@ class BenchResult:
     scalar_wall_se: float = 0.0
     kernel_wall_se: float = 0.0
     reps: int = 1
+    gate_ok: Optional[bool] = None
+    speedup_floor: float = 0.0
+    labels: Tuple[str, str] = ("scalar", "kernel")
 
     @property
     def speedup(self) -> float:
-        """Scalar wall time over kernel wall time (dimensionless)."""
+        """Reference wall time over candidate wall time
+        (dimensionless)."""
         return self.scalar_wall_s / self.kernel_wall_s
 
     @property
@@ -85,8 +96,15 @@ class BenchResult:
         """Whether the two paths agreed within the tolerance."""
         return self.max_rel_diff <= EQUIVALENCE_RTOL
 
+    @property
+    def passed(self) -> bool:
+        """The result's gate: its own, or equivalence."""
+        if self.gate_ok is None:
+            return self.equivalent
+        return self.gate_ok and self.speedup >= self.speedup_floor
+
     def to_payload(self) -> Dict[str, Any]:
-        return {
+        payload: Dict[str, Any] = {
             "op": self.op,
             "n": self.n,
             "wall_s": {"scalar": self.scalar_wall_s,
@@ -96,23 +114,74 @@ class BenchResult:
             "reps": self.reps,
             "speedup": self.speedup,
             "max_rel_diff": self.max_rel_diff,
-            "equivalent": self.equivalent,
         }
+        if self.gate_ok is None:
+            payload["equivalent"] = self.equivalent
+        else:
+            payload.update(speedup_floor=self.speedup_floor,
+                           gate_ok=self.gate_ok, passed=self.passed)
+        return payload
+
+    def samples(self) -> List[BenchSample]:
+        """This result as registry samples (``<op>.scalar`` /
+        ``<op>.kernel``)."""
+        return [BenchSample(name=f"{self.op}.{variant}", value=wall,
+                            se=se, n=self.n)
+                for variant, wall, se in (
+                    ("scalar", self.scalar_wall_s, self.scalar_wall_se),
+                    ("kernel", self.kernel_wall_s, self.kernel_wall_se))]
 
     def format(self) -> str:
-        verdict = "ok" if self.equivalent else "DRIFT"
+        if self.passed:
+            verdict = "ok"
+        else:
+            verdict = "DRIFT" if self.gate_ok is None else "FAIL"
+        reference, candidate = self.labels
         return (f"{self.op:<14} n={self.n:<6d} "
-                f"scalar {self.scalar_wall_s:8.3f} s   "
-                f"kernel {self.kernel_wall_s:8.3f} s   "
+                f"{reference} {self.scalar_wall_s:8.3f} s   "
+                f"{candidate} {self.kernel_wall_s:8.3f} s   "
                 f"{self.speedup:7.1f}x   "
                 f"max rel diff {self.max_rel_diff:.2e} [{verdict}]")
 
 
-def _max_rel_diff(reference: np.ndarray, candidate: np.ndarray) -> float:
+def max_rel_diff(reference: np.ndarray, candidate: np.ndarray) -> float:
+    """Largest elementwise ``|candidate - reference| / |reference|``."""
     reference = np.asarray(reference, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
     scale = np.maximum(np.abs(reference), 1e-300)
     return float(np.max(np.abs(candidate - reference) / scale))
+
+
+def time_pair(metric: str, reference: Callable[[], Any],
+              candidate: Callable[[], Any], reps: int = 1
+              ) -> "Tuple[Any, Any, Dict[str, Any]]":
+    """Time ``reference()`` then ``candidate()``, ``reps`` times each.
+
+    Every duration is also observed into the
+    ``bench.<metric>.<scalar|kernel>_seconds`` histogram.  Returns the
+    last output of each side and the timing fields of a
+    :class:`BenchResult` (per-rep means, their standard errors, and
+    the rep count).
+    """
+    from repro.runtime.metrics import METRICS, Histogram
+
+    walls = {"scalar": Histogram(), "kernel": Histogram()}
+    outputs: Dict[str, Any] = {}
+    for _ in range(max(1, reps)):
+        for variant, run in (("scalar", reference),
+                             ("kernel", candidate)):
+            started = time.perf_counter()
+            outputs[variant] = run()
+            elapsed = time.perf_counter() - started
+            walls[variant].observe(elapsed)
+            METRICS.observe_keyed("bench", f"{metric}.{variant}_seconds",
+                                  elapsed)
+    timing = {"scalar_wall_s": walls["scalar"].mean,
+              "kernel_wall_s": walls["kernel"].mean,
+              "scalar_wall_se": walls["scalar"].standard_error(),
+              "kernel_wall_se": walls["kernel"].standard_error(),
+              "reps": walls["scalar"].count}
+    return outputs["scalar"], outputs["kernel"], timing
 
 
 def run_monte_carlo_bench(node: str = "90nm",
@@ -130,7 +199,6 @@ def run_monte_carlo_bench(node: str = "90nm",
     per-rep histograms.
     """
     from repro.experiments.suite import ModelSuite
-    from repro.runtime.metrics import METRICS, Histogram
     from repro.signoff.extraction import extract_buffered_line
     from repro.signoff.variation import monte_carlo_line_delay
 
@@ -141,99 +209,19 @@ def run_monte_carlo_bench(node: str = "90nm",
     line = extract_buffered_line(model.tech, model.config, mm(10), 20,
                                  40.0)
 
-    scalar_walls = Histogram()
-    kernel_walls = Histogram()
-    scalar = kernel = None
-    for _ in range(max(1, reps)):
-        started = time.perf_counter()
-        scalar = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="model", model=model)
-        elapsed = time.perf_counter() - started
-        scalar_walls.observe(elapsed)
-        METRICS.observe("bench.monte_carlo.scalar_seconds", elapsed)
+    def run(engine: str):
+        return lambda: monte_carlo_line_delay(
+            line, ps(100), samples=samples, seed=seed, workers=1,
+            engine=engine, model=model)
 
-        started = time.perf_counter()
-        kernel = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="kernel", model=model)
-        elapsed = time.perf_counter() - started
-        kernel_walls.observe(elapsed)
-        METRICS.observe("bench.monte_carlo.kernel_seconds", elapsed)
-
-    diff = _max_rel_diff(np.array(scalar.samples),
-                         np.array(kernel.samples))
-    diff = max(diff, _max_rel_diff(scalar.nominal_delay,
-                                   kernel.nominal_delay))
-    return BenchResult(op="monte_carlo", n=samples,
-                       scalar_wall_s=scalar_walls.mean,
-                       kernel_wall_s=kernel_walls.mean,
-                       max_rel_diff=diff,
-                       scalar_wall_se=scalar_walls.standard_error(),
-                       kernel_wall_se=kernel_walls.standard_error(),
-                       reps=scalar_walls.count)
-
-
-def run_link_sweep_bench(node: str = "90nm",
-                         lengths_mm: Tuple[float, ...] = SWEEP_LENGTHS_MM,
-                         reps: int = 1) -> BenchResult:
-    """Time the min-power link design sweep, scalar vs kernel search.
-
-    Both paths follow the same search trajectory by construction, so
-    the chosen (count, size) and the resulting delay/power must agree
-    exactly; the recorded difference covers delay and total power of
-    every design.
-    """
-    from repro.buffering.optimizer import minimize_power_under_delay
-    from repro.experiments.suite import ModelSuite
-    from repro.runtime.metrics import METRICS, Histogram
-
-    suite = ModelSuite.for_node(node)
-    model = suite.proposed
-    max_delay = suite.tech.clock_period()
-
-    scalar_walls = Histogram()
-    kernel_walls = Histogram()
-    scalar = kernel = None
-    for _ in range(max(1, reps)):
-        started = time.perf_counter()
-        scalar = [minimize_power_under_delay(model, mm(length),
-                                             max_delay,
-                                             use_kernels=False)
-                  for length in lengths_mm]
-        elapsed = time.perf_counter() - started
-        scalar_walls.observe(elapsed)
-        METRICS.observe("bench.link_sweep.scalar_seconds", elapsed)
-
-        started = time.perf_counter()
-        kernel = [minimize_power_under_delay(model, mm(length),
-                                             max_delay,
-                                             use_kernels=True)
-                  for length in lengths_mm]
-        elapsed = time.perf_counter() - started
-        kernel_walls.observe(elapsed)
-        METRICS.observe("bench.link_sweep.kernel_seconds", elapsed)
-
-    diff = 0.0
-    for reference, candidate in zip(scalar, kernel):
-        if (reference is None) != (candidate is None):
-            diff = max(diff, float("inf"))
-            continue
-        if reference is None:
-            continue
-        if (reference.num_repeaters != candidate.num_repeaters
-                or reference.repeater_size != candidate.repeater_size):
-            diff = max(diff, float("inf"))
-            continue
-        diff = max(diff, _max_rel_diff(reference.delay, candidate.delay))
-        diff = max(diff, _max_rel_diff(reference.power, candidate.power))
-    return BenchResult(op="link_sweep", n=len(lengths_mm),
-                       scalar_wall_s=scalar_walls.mean,
-                       kernel_wall_s=kernel_walls.mean,
-                       max_rel_diff=diff,
-                       scalar_wall_se=scalar_walls.standard_error(),
-                       kernel_wall_se=kernel_walls.standard_error(),
-                       reps=scalar_walls.count)
+    scalar, kernel, timing = time_pair("monte_carlo", run("model"),
+                                       run("kernel"), reps)
+    diff = max_rel_diff(np.array(scalar.samples),
+                        np.array(kernel.samples))
+    diff = max(diff, max_rel_diff(scalar.nominal_delay,
+                                  kernel.nominal_delay))
+    return BenchResult(op="monte_carlo", n=samples, max_rel_diff=diff,
+                       **timing)
 
 
 def run_bench(node: str = "90nm", quick: bool = False,
@@ -256,11 +244,9 @@ def run_bench(node: str = "90nm", quick: bool = False,
 
     if samples is None:
         samples = QUICK_SAMPLES if quick else DEFAULT_SAMPLES
-    lengths = QUICK_SWEEP_LENGTHS_MM if quick else SWEEP_LENGTHS_MM
 
     results: List[BenchResult] = [
         run_monte_carlo_bench(node, samples=samples, reps=reps),
-        run_link_sweep_bench(node, lengths_mm=lengths, reps=reps),
     ]
     report: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
@@ -276,20 +262,13 @@ def run_bench(node: str = "90nm", quick: bool = False,
     record = bench_registry.build_record(
         "kernels", node=node, quick=quick,
         config={"node": node, "quick": quick, "samples": samples,
-                "lengths_mm": list(lengths), "reps": reps},
-        samples=[bench_registry.BenchSample(
-            name=f"{result.op}.{variant}",
-            value=wall, se=se, n=result.n)
-            for result in results
-            for variant, wall, se in (
-                ("scalar", result.scalar_wall_s,
-                 result.scalar_wall_se),
-                ("kernel", result.kernel_wall_s,
-                 result.kernel_wall_se))],
+                "reps": reps},
+        samples=[sample for result in results
+                 for sample in result.samples()],
         generated_at=report["generated_at"])
     history_path = bench_registry.append_record(record, history)
     # Human-readable lines for the CLI; not part of the JSON artifact.
     report["formatted"] = [result.format() for result in results]
     report["history_path"] = str(history_path)
-    status = 0 if all(result.equivalent for result in results) else 1
+    status = 0 if all(result.passed for result in results) else 1
     return status, report

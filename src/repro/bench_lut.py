@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench import BenchResult, max_rel_diff, time_pair
 from repro.units import mm, ps
 
 #: Bump when the BENCH_lut.json layout changes incompatibly.
@@ -52,105 +52,27 @@ QUICK_SWEEP_LENGTHS_MM = (1.0, 3.0, 5.0)
 WORKER_COUNTS = (1, 2, 4)
 
 
-@dataclass(frozen=True)
-class LutBenchResult:
-    """One closed-form-vs-LUT timing comparison.
-
-    ``scalar_wall_s`` times the closed-form path, ``kernel_wall_s``
-    the LUT-served one (the registry's ``op`` schema names);
-    ``max_rel_diff`` records how far the LUT answers drifted from the
-    closed form (informational — the accuracy gate is the artifact's
-    own interpolation-error contract, not this).
-    """
-
-    op: str
-    n: int
-    scalar_wall_s: float
-    kernel_wall_s: float
-    max_rel_diff: float
-    gate_ok: bool
-    scalar_wall_se: float = 0.0
-    kernel_wall_se: float = 0.0
-    reps: int = 1
-
-    @property
-    def speedup(self) -> float:
-        """Closed-form wall time over LUT wall time (dimensionless)."""
-        return self.scalar_wall_s / self.kernel_wall_s
-
-    @property
-    def passed(self) -> bool:
-        """Speedup floor and the per-op correctness gate."""
-        return self.gate_ok and self.speedup >= SPEEDUP_FLOOR
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "op": self.op,
-            "n": self.n,
-            "wall_s": {"scalar": self.scalar_wall_s,
-                       "kernel": self.kernel_wall_s},
-            "wall_se": {"scalar": self.scalar_wall_se,
-                        "kernel": self.kernel_wall_se},
-            "reps": self.reps,
-            "speedup": self.speedup,
-            "speedup_floor": SPEEDUP_FLOOR,
-            "max_rel_diff": self.max_rel_diff,
-            "gate_ok": self.gate_ok,
-            "passed": self.passed,
-        }
-
-    def format(self) -> str:
-        verdict = "ok" if self.passed else "FAIL"
-        return (f"{self.op:<14} n={self.n:<6d} "
-                f"closed {self.scalar_wall_s:8.3f} s   "
-                f"lut {self.kernel_wall_s:8.3f} s   "
-                f"{self.speedup:7.1f}x   "
-                f"max rel diff {self.max_rel_diff:.2e} [{verdict}]")
-
-
-def _max_rel_diff(reference: np.ndarray,
-                  candidate: np.ndarray) -> float:
-    reference = np.asarray(reference, dtype=float)
-    candidate = np.asarray(candidate, dtype=float)
-    scale = np.maximum(np.abs(reference), 1e-300)
-    return float(np.max(np.abs(candidate - reference) / scale))
-
-
 def run_link_sweep_bench(model, lut, max_delay: float,
                          lengths_mm: Tuple[float, ...],
-                         reps: int = 1) -> LutBenchResult:
+                         reps: int = 1) -> BenchResult:
     """Time the min-power design sweep, closed form vs LUT.
 
-    Both sides run their production search (the closed form uses the
-    batched kernel search, the LUT its cell-crossing fast path).  The
-    gate: every length feasible on the closed form must be feasible on
-    the LUT *and* meet ``max_delay`` — the LUT may pick a slightly
-    different size (interpolated surface), which ``max_rel_diff``
-    records over delay and power of the designs.
+    Both sides run the one buffering search (the closed form through
+    the batched line kernel, the LUT through its cell-crossing fast
+    path).  The gate: every length feasible on the closed form must be
+    feasible on the LUT *and* meet ``max_delay`` — the LUT may pick a
+    slightly different size (interpolated surface), which
+    ``max_rel_diff`` records over delay and power of the designs.
     """
     from repro.buffering.optimizer import minimize_power_under_delay
-    from repro.runtime.metrics import METRICS, Histogram
 
-    closed_walls = Histogram()
-    lut_walls = Histogram()
-    closed = served = None
-    for _ in range(max(1, reps)):
-        started = time.perf_counter()
-        closed = [minimize_power_under_delay(model, mm(length),
-                                             max_delay)
-                  for length in lengths_mm]
-        elapsed = time.perf_counter() - started
-        closed_walls.observe(elapsed)
-        METRICS.observe("bench.lut_link_sweep.scalar_seconds", elapsed)
+    def sweep(candidate):
+        return lambda: [minimize_power_under_delay(candidate, mm(length),
+                                                   max_delay)
+                        for length in lengths_mm]
 
-        started = time.perf_counter()
-        served = [minimize_power_under_delay(lut, mm(length),
-                                             max_delay)
-                  for length in lengths_mm]
-        elapsed = time.perf_counter() - started
-        lut_walls.observe(elapsed)
-        METRICS.observe("bench.lut_link_sweep.kernel_seconds", elapsed)
-
+    closed, served, timing = time_pair("lut_link_sweep", sweep(model),
+                                       sweep(lut), reps)
     gate_ok = True
     diff = 0.0
     for reference, candidate in zip(closed, served):
@@ -161,22 +83,23 @@ def run_link_sweep_bench(model, lut, max_delay: float,
             continue
         if candidate.delay > max_delay:
             gate_ok = False
-        diff = max(diff, _max_rel_diff(reference.delay,
-                                       candidate.delay))
-        diff = max(diff, _max_rel_diff(reference.power,
-                                       candidate.power))
-    return LutBenchResult(op="link_sweep", n=len(lengths_mm),
-                          scalar_wall_s=closed_walls.mean,
-                          kernel_wall_s=lut_walls.mean,
-                          max_rel_diff=diff,
-                          gate_ok=gate_ok,
-                          scalar_wall_se=closed_walls.standard_error(),
-                          kernel_wall_se=lut_walls.standard_error(),
-                          reps=closed_walls.count)
+        diff = max(diff, max_rel_diff(reference.delay,
+                                      candidate.delay))
+        diff = max(diff, max_rel_diff(reference.power,
+                                      candidate.power))
+    return _result("link_sweep", len(lengths_mm), diff, gate_ok, timing)
+
+
+def _result(op: str, n: int, diff: float, gate_ok: bool,
+            timing: Dict[str, Any]) -> BenchResult:
+    """A LUT-tier result: closed form vs LUT under the speedup floor."""
+    return BenchResult(op=op, n=n, max_rel_diff=diff, gate_ok=gate_ok,
+                       speedup_floor=SPEEDUP_FLOOR,
+                       labels=("closed", "lut"), **timing)
 
 
 def run_monte_carlo_bench(model, lut, samples: int, seed: int = 2010,
-                          reps: int = 1) -> LutBenchResult:
+                          reps: int = 1) -> BenchResult:
     """Time the ``"model"``-engine Monte-Carlo, closed form vs LUT.
 
     The closed form evaluates one Python stage chain per draw; the LUT
@@ -186,54 +109,27 @@ def run_monte_carlo_bench(model, lut, samples: int, seed: int = 2010,
     in-process, so any divergence is a determinism bug), with
     ``max_rel_diff`` recording the first-order-vs-exact spread.
     """
-    from repro.runtime.metrics import METRICS, Histogram
     from repro.signoff.extraction import extract_buffered_line
     from repro.signoff.variation import monte_carlo_line_delay
 
     line = extract_buffered_line(model.tech, model.config, mm(10), 20,
                                  40.0)
 
-    closed_walls = Histogram()
-    lut_walls = Histogram()
-    closed = served = None
-    for _ in range(max(1, reps)):
-        started = time.perf_counter()
-        closed = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="model", model=model)
-        elapsed = time.perf_counter() - started
-        closed_walls.observe(elapsed)
-        METRICS.observe("bench.lut_monte_carlo.scalar_seconds",
-                        elapsed)
+    def run(candidate, workers: int = 1):
+        return lambda: monte_carlo_line_delay(
+            line, ps(100), samples=samples, seed=seed, workers=workers,
+            engine="model", model=candidate)
 
-        started = time.perf_counter()
-        served = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="model", model=lut)
-        elapsed = time.perf_counter() - started
-        lut_walls.observe(elapsed)
-        METRICS.observe("bench.lut_monte_carlo.kernel_seconds",
-                        elapsed)
-
+    closed, served, timing = time_pair("lut_monte_carlo", run(model),
+                                       run(lut), reps)
     reference = np.array(served.samples)
-    gate_ok = True
-    for workers in WORKER_COUNTS[1:]:
-        repeat = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=workers,
-                                        engine="model", model=lut)
-        if not np.array_equal(np.array(repeat.samples), reference):
-            gate_ok = False
-    diff = _max_rel_diff(np.array(closed.samples), reference)
-    diff = max(diff, _max_rel_diff(closed.nominal_delay,
-                                   served.nominal_delay))
-    return LutBenchResult(op="monte_carlo", n=samples,
-                          scalar_wall_s=closed_walls.mean,
-                          kernel_wall_s=lut_walls.mean,
-                          max_rel_diff=diff,
-                          gate_ok=gate_ok,
-                          scalar_wall_se=closed_walls.standard_error(),
-                          kernel_wall_se=lut_walls.standard_error(),
-                          reps=closed_walls.count)
+    gate_ok = all(np.array_equal(np.array(run(lut, workers)().samples),
+                                 reference)
+                  for workers in WORKER_COUNTS[1:])
+    diff = max_rel_diff(np.array(closed.samples), reference)
+    diff = max(diff, max_rel_diff(closed.nominal_delay,
+                                  served.nominal_delay))
+    return _result("monte_carlo", samples, diff, gate_ok, timing)
 
 
 def run_lut_bench(node: str = "90nm", quick: bool = False,
@@ -270,7 +166,7 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
     lut = serve(model, artifact)
     contract_ok = artifact.measured_rel_error <= spec.max_rel_error
 
-    results: List[LutBenchResult] = [
+    results: List[BenchResult] = [
         run_link_sweep_bench(model, lut, suite.tech.clock_period(),
                              lengths_mm=lengths, reps=reps),
         run_monte_carlo_bench(model, lut, samples=samples, reps=reps),
@@ -299,15 +195,8 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
         config={"node": node, "quick": quick, "samples": samples,
                 "lengths_mm": list(lengths), "reps": reps,
                 "grid_points": spec.points},
-        samples=[bench_registry.BenchSample(
-            name=f"{result.op}.{variant}",
-            value=wall, se=se, n=result.n)
-            for result in results
-            for variant, wall, se in (
-                ("scalar", result.scalar_wall_s,
-                 result.scalar_wall_se),
-                ("kernel", result.kernel_wall_s,
-                 result.kernel_wall_se))],
+        samples=[sample for result in results
+                 for sample in result.samples()],
         generated_at=report["generated_at"])
     history_path = bench_registry.append_record(record, history)
     formatted = [

@@ -9,7 +9,8 @@ reference with a noise-aware threshold, giving CI an actual perf gate.
 
 Each record carries:
 
-* ``suite`` — ``"kernels"`` or ``"yield"``;
+* ``suite`` — ``"kernels"``, ``"yield"``, ``"lut"``, ``"serve"`` or
+  ``"lint"``;
 * ``env`` / ``env_key`` — the shared environment block from
   :func:`repro.runtime.manifest.run_environment` and its fingerprint,
   so records from different machines/toolchains never get compared as
@@ -182,13 +183,22 @@ def record_samples(record: Mapping[str, Any]) -> List[BenchSample]:
 def baseline_samples(report: Mapping[str, Any]) -> List[BenchSample]:
     """Samples extracted from a committed ``BENCH_*.json`` report.
 
-    Handles both suite schemas: kernels entries (``op`` + per-path
+    Handles every suite schema: kernels/LUT entries (``op`` + per-path
     ``wall_s``/``wall_se``) become ``<op>.scalar`` / ``<op>.kernel``
     samples; yield entries (``estimator`` + ``wall_s``) become
-    ``<estimator>.wall`` samples.  Reports written before the
-    registry existed lack ``wall_se`` — their SEs read as zero.
+    ``<estimator>.wall`` samples; a serve report's ``load`` block
+    (``latency_p50_s``/``latency_p99_s`` over ``expected_requests``)
+    becomes ``latency_p50`` / ``latency_p99``, the names the serve
+    bench records.  Reports written before the registry existed lack
+    ``wall_se`` — their SEs read as zero.
     """
     samples: List[BenchSample] = []
+    load = report.get("load", {})
+    for name in ("latency_p50", "latency_p99"):
+        if f"{name}_s" in load:
+            samples.append(BenchSample(
+                name=name, value=float(load[f"{name}_s"]),
+                n=int(load.get("expected_requests", 0))))
     for entry in report.get("results", []):
         if "op" in entry:
             wall = entry.get("wall_s", {})

@@ -1,17 +1,13 @@
-"""Search-based buffering optimization.
+"""Search-based buffering optimization: the public entry points.
 
 The optimizer works against *any* model exposing the
 ``evaluate(length, num_repeaters, repeater_size, input_slew, ...)``
 interface (the proposed model and both baselines), which is exactly how
-the paper swaps models inside COSI-OCC.
-
-Two search primitives, mirroring Section III-D:
-
-* for a fixed repeater count, the objective is unimodal in the repeater
-  size, so a **binary search on the size derivative** (implemented as a
-  golden-section search, the robust equivalent) finds the best size;
-* an **exhaustive sweep over repeater counts** around the delay-optimal
-  count picks the best combination.
+the paper swaps models inside COSI-OCC.  Swapping the model swaps only
+how each probe is evaluated; the search itself — a golden-section
+search over the repeater size, every repeater count a lane of one
+lockstep search (Section III-D) — is the single implementation in
+:mod:`repro.kernels.search`, looked up at call time.
 
 The objective is the weighted product ``delay^w * power^(1-w)`` —
 scale-free, so no normalization constants are needed; ``w = 1`` recovers
@@ -20,7 +16,6 @@ delay-optimal buffering and smaller ``w`` trades delay for power.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,9 +28,6 @@ DEFAULT_INPUT_SLEW = ps(100)
 #: Practical repeater size cap — delay-optimal sizes beyond this are
 #: "never used in practice" (Section III-D).
 DEFAULT_MAX_SIZE = 128.0
-
-#: Golden-section ratio.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -56,69 +48,6 @@ class BufferingSolution:
         return self.estimate.total_power
 
 
-def _weighted_objective(estimate: InterconnectEstimate,
-                        delay_weight: float) -> float:
-    """``delay^w * power^(1-w)`` (scale-free weighted product)."""
-    if delay_weight >= 1.0:
-        return estimate.delay
-    if delay_weight <= 0.0:
-        return estimate.total_power
-    return (estimate.delay**delay_weight
-            * estimate.total_power**(1.0 - delay_weight))
-
-
-def _best_size_for_count(model, length: float, count: int,
-                         input_slew: float, delay_weight: float,
-                         max_size: float, bus_width: int
-                         ) -> BufferingSolution:
-    """Golden-section search over the repeater size for a fixed count."""
-    def objective_at(size: float) -> "tuple[float, InterconnectEstimate]":
-        estimate = model.evaluate(length, count, size, input_slew,
-                                  bus_width=bus_width)
-        return _weighted_objective(estimate, delay_weight), estimate
-
-    low, high = 1.0, max_size
-    x1 = high - _GOLDEN * (high - low)
-    x2 = low + _GOLDEN * (high - low)
-    f1, e1 = objective_at(x1)
-    f2, e2 = objective_at(x2)
-    for _ in range(40):
-        if high - low < 0.25:
-            break
-        if f1 <= f2:
-            high, x2, f2, e2 = x2, x1, f1, e1
-            x1 = high - _GOLDEN * (high - low)
-            f1, e1 = objective_at(x1)
-        else:
-            low, x1, f1, e1 = x1, x2, f2, e2
-            x2 = low + _GOLDEN * (high - low)
-            f2, e2 = objective_at(x2)
-    if f1 <= f2:
-        return BufferingSolution(count, x1, e1, f1)
-    return BufferingSolution(count, x2, e2, f2)
-
-
-def _use_kernel_search(model, use_kernels: Optional[bool]) -> bool:
-    """Resolve the kernel-dispatch tri-state.
-
-    ``None`` auto-detects (kernels engage for the plain proposed
-    model); ``True`` insists and raises for unsupported models;
-    ``False`` forces the scalar reference path.
-    """
-    if use_kernels is False:
-        return False
-    from repro.kernels.line import supports_model
-    from repro.kernels.lut import serves_model
-    supported = supports_model(model) or serves_model(model)
-    if use_kernels and not supported:
-        raise ValueError(
-            f"use_kernels=True but {type(model).__name__} is not "
-            "supported by the batched kernels (only the plain "
-            "BufferedInterconnectModel and its LUT-served wrapper "
-            "are)")
-    return supported
-
-
 def optimize_buffering(
     model,
     length: float,
@@ -128,16 +57,12 @@ def optimize_buffering(
     max_size: float = DEFAULT_MAX_SIZE,
     bus_width: int = 1,
     counts: Optional[Sequence[int]] = None,
-    use_kernels: Optional[bool] = None,
 ) -> BufferingSolution:
     """Best (count, size) for the weighted delay-power objective.
 
     ``counts`` overrides the repeater-count candidates; by default every
     count from 1 to ``max_repeaters`` (a heuristic cap derived from the
-    line length) is tried.  When the model supports the batched
-    kernels (see ``use_kernels``), all counts are searched as lanes of
-    one lockstep golden-section search, following the same trajectory
-    as this scalar loop.
+    line length) is tried.  Ties between counts go to the first.
     """
     if not 0.0 <= delay_weight <= 1.0:
         raise ValueError("delay_weight must lie in [0, 1]")
@@ -150,21 +75,10 @@ def optimize_buffering(
             max_repeaters = max(2, int(length / 0.25e-3))
         counts = range(1, max_repeaters + 1)
 
-    if _use_kernel_search(model, use_kernels):
-        from repro.kernels.search import optimize_buffering_batch
-        return optimize_buffering_batch(
-            model, length, list(counts), delay_weight, input_slew,
-            max_size, bus_width)
-
-    best: Optional[BufferingSolution] = None
-    for count in counts:
-        candidate = _best_size_for_count(
-            model, length, count, input_slew, delay_weight, max_size,
-            bus_width)
-        if best is None or candidate.objective < best.objective:
-            best = candidate
-    assert best is not None
-    return best
+    from repro.kernels.search import optimize_buffering_batch
+    return optimize_buffering_batch(
+        model, length, list(counts), delay_weight, input_slew,
+        max_size, bus_width)
 
 
 def minimize_power_under_delay(
@@ -175,7 +89,6 @@ def minimize_power_under_delay(
     max_size: float = DEFAULT_MAX_SIZE,
     bus_width: int = 1,
     counts: Optional[Sequence[int]] = None,
-    use_kernels: Optional[bool] = None,
 ) -> Optional[BufferingSolution]:
     """Cheapest buffering whose delay meets ``max_delay``.
 
@@ -183,54 +96,16 @@ def minimize_power_under_delay(
     infeasible at this length and clock) — which is exactly the
     feasibility check the NoC synthesizer performs per candidate link.
     ``counts`` defaults to a sparse candidate set sized to the length.
-    Kernel dispatch as in :func:`optimize_buffering`.
     """
     if max_delay <= 0:
         raise ValueError("max_delay must be positive")
     if counts is None:
         counts = _count_candidates(length)
 
-    if _use_kernel_search(model, use_kernels):
-        from repro.kernels.search import \
-            minimize_power_under_delay_batch
-        return minimize_power_under_delay_batch(
-            model, length, max_delay, input_slew, max_size, bus_width,
-            list(counts))
-
-    best: Optional[BufferingSolution] = None
-    for count in counts:
-        # Fastest configuration at this count: delay-weighted search.
-        fastest = _best_size_for_count(
-            model, length, count, input_slew, 1.0, max_size, bus_width)
-        if fastest.delay > max_delay:
-            continue
-        # Shrink the size until the delay bound is met, minimizing
-        # power: power decreases monotonically with size, so binary
-        # search for the smallest size still meeting the bound.
-        low, high = 1.0, fastest.repeater_size
-        low_est = model.evaluate(length, count, low, input_slew,
-                                 bus_width=bus_width)
-        if low_est.delay <= max_delay:
-            chosen, chosen_est = low, low_est
-        else:
-            for _ in range(40):
-                if high - low < 0.25:
-                    break
-                mid = 0.5 * (low + high)
-                estimate = model.evaluate(length, count, mid, input_slew,
-                                          bus_width=bus_width)
-                if estimate.delay <= max_delay:
-                    high = mid
-                else:
-                    low = mid
-            chosen = high
-            chosen_est = model.evaluate(length, count, chosen, input_slew,
-                                        bus_width=bus_width)
-        candidate = BufferingSolution(
-            count, chosen, chosen_est, chosen_est.total_power)
-        if best is None or candidate.estimate.total_power < best.power:
-            best = candidate
-    return best
+    from repro.kernels.search import minimize_power_under_delay_batch
+    return minimize_power_under_delay_batch(
+        model, length, max_delay, input_slew, max_size, bus_width,
+        list(counts))
 
 
 def max_feasible_length(
@@ -239,7 +114,6 @@ def max_feasible_length(
     input_slew: float = DEFAULT_INPUT_SLEW,
     upper_bound: float = 30e-3,
     max_size: float = DEFAULT_MAX_SIZE,
-    use_kernels: Optional[bool] = None,
 ) -> float:
     """Longest line (meters) whose optimally buffered delay meets
     ``max_delay``.
@@ -252,8 +126,7 @@ def max_feasible_length(
         solution = optimize_buffering(
             model, length, delay_weight=1.0, input_slew=input_slew,
             max_size=max_size,
-            counts=_count_candidates(length),
-            use_kernels=use_kernels)
+            counts=_count_candidates(length))
         return solution.delay <= max_delay
 
     low = 0.1e-3

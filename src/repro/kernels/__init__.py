@@ -16,9 +16,9 @@ so one ufunc-style call replaces thousands of scalar invocations:
 * :mod:`repro.kernels.line` — the composed buffered-line delay/power
   over ``(count, size, length)`` lanes
   (:func:`~repro.kernels.line.evaluate_line_batch`);
-* :mod:`repro.kernels.search` — lockstep golden-section / bisection
-  searches over all repeater-count lanes at once, reproducing the
-  scalar optimizer's trajectory decision-for-decision;
+* :mod:`repro.kernels.search` — the Section III-D buffering search
+  itself (its only implementation, run under every model):
+  golden-section / bisection over all repeater-count lanes at once;
 * :mod:`repro.kernels.variation` — perturbed line delay over a whole
   Monte-Carlo factor matrix in one call;
 * :mod:`repro.kernels.lut` — batched trilinear interpolation over the
@@ -27,7 +27,7 @@ so one ufunc-style call replaces thousands of scalar invocations:
 
 Contracts:
 
-* **Equivalence** — every kernel mirrors the scalar expressions
+* **Equivalence** — every model kernel mirrors the scalar expressions
   operation-for-operation (same association order, sequential
   accumulation instead of ``np.sum``), so results match the scalar
   path elementwise to within a few ULP; the test suite asserts a

@@ -1,7 +1,7 @@
 """The scalar↔batch parity registry (`kernel-parity` lint rule).
 
-Every batched kernel in :mod:`repro.kernels` mirrors a scalar model
-path operation-for-operation — that is what makes the ≤1e-9
+Every batched model kernel in :mod:`repro.kernels` mirrors a scalar
+model path operation-for-operation — that is what makes the ≤1e-9
 equivalence contract hold and lets the runtime swap engines freely.
 This registry declares each pairing in machine-readable form so the
 whole-program lint pass (:mod:`repro.analysis.checkers.kernel_parity`)
@@ -22,9 +22,12 @@ module-qualified name.  ``compare`` selects the contract:
     factor draws), with the hoist justified in ``rationale``.
 
 Functions in :data:`EXEMPT` are public kernel-module functions that
-are orchestration or predicates rather than batch mirrors; the
+are predicates or sole implementations rather than batch mirrors; the
 checker requires every *other* public kernel function to appear in a
 pair, so adding a kernel without registering it is itself a finding.
+The buffering search in :mod:`repro.kernels.search` is one of them:
+it is the only implementation of the Section III-D search, with no
+scalar twin to mirror.
 """
 
 from __future__ import annotations
@@ -144,23 +147,6 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
             "a precomputed factor matrix, so the draw constants live "
             "in the caller on the batched side"),
     ),
-    # -- buffering search (Section III-D) ------------------------------
-    ParityPair(
-        name="search-objective",
-        kernel=("repro.kernels.search._objective",),
-        scalar=("repro.buffering.optimizer._weighted_objective",),
-    ),
-    ParityPair(
-        name="search-golden-section",
-        kernel=("repro.kernels.search._best_sizes_for_counts",),
-        scalar=("repro.buffering.optimizer._best_size_for_count",),
-    ),
-    ParityPair(
-        name="search-power-under-delay",
-        kernel=("repro.kernels.search.minimize_power_under_delay_batch",),
-        scalar=("repro.buffering.optimizer"
-                ".minimize_power_under_delay",),
-    ),
     # -- characterization LUT tier -------------------------------------
     ParityPair(
         name="lut-trilinear",
@@ -210,14 +196,15 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
 )
 
 #: Public kernel-module functions that are not batch mirrors: pure
-#: predicates and lockstep orchestration whose arithmetic lives in
-#: already-paired helpers.
+#: predicates and the buffering search, which has no scalar twin.
 EXEMPT: FrozenSet[str] = frozenset({
     # type predicate, no arithmetic to mirror
     "repro.kernels.line.supports_model",
     # type predicate, no arithmetic to mirror
     "repro.kernels.lut.serves_model",
-    # argmin + scalar rebuild; the searched arithmetic is paired via
-    # search-golden-section / search-objective
+    # sole implementation, no scalar twin: the Section III-D search
+    # exists only as the lockstep lane search
     "repro.kernels.search.optimize_buffering_batch",
+    # sole implementation, no scalar twin (see above)
+    "repro.kernels.search.minimize_power_under_delay_batch",
 })

@@ -1,23 +1,32 @@
-"""Lockstep batched buffering searches (Section III-D, vectorized).
+"""The buffering search (Section III-D), all repeater counts in lockstep.
 
-The scalar optimizer runs one golden-section (or bisection) search per
-repeater count, each a chain of ~40 dependent scalar evaluations.
-These kernels run *all counts as lanes of one search*: every iteration
-issues a single :func:`~repro.kernels.line.evaluate_line_batch` call
-at the per-lane probe points, with per-lane ``open`` masks freezing
-lanes whose interval has already converged.
+This is the one implementation of the paper's buffering search; the
+public entry points in :mod:`repro.buffering.optimizer` call it for
+every model.  Two primitives:
 
-The update sequence mirrors :mod:`repro.buffering.optimizer`
-operation-for-operation — same interval arithmetic, same ``f1 <= f2``
-tie-breaking, same convergence test — so each lane follows the exact
-trajectory the scalar search would, and the argmin over lanes
-reproduces the scalar strict-``<`` first-minimum over counts.  The
-winning lane's estimate is rebuilt with one scalar
-``model.evaluate`` call, so the returned
-:class:`~repro.buffering.optimizer.BufferingSolution` is bitwise
-identical to the scalar optimizer's (for the pure delay/power
-objectives; the fractional weighted product may differ by one ulp of
-``pow``).
+* for a fixed repeater count the objective is unimodal in the repeater
+  size, so a **golden-section search** (the robust equivalent of the
+  paper's binary search on the size derivative) finds the best size;
+* an **exhaustive sweep over repeater counts** picks the best
+  combination — here every count is a *lane* of one search, so each
+  iteration evaluates one probe point per lane in a single call, with
+  per-lane ``open`` masks freezing lanes whose interval has converged.
+
+The only model-specific piece is the lane evaluator
+:func:`_evaluate`, chosen from the model's type: the plain proposed
+model runs the batched line kernel
+(:func:`~repro.kernels.line.evaluate_line_batch`), a LUT-served model
+its interpolating lane (plus the cell-crossing fast path of
+:mod:`repro.kernels.lut` for min-power sizing), and every other model
+— the Bakoglu and Pamunuwa baselines, subclasses such as the
+slew-aware sign-off model — its own scalar ``evaluate`` once per lane.
+
+Ties go to the first candidate (``f1 <= f2`` inside a lane, the first
+minimum across lanes).  The winning lane's estimate is rebuilt with
+one scalar ``model.evaluate`` call and its objective recomputed from
+that estimate, so the returned
+:class:`~repro.buffering.optimizer.BufferingSolution` carries exactly
+what ``model.evaluate`` reports for the chosen configuration.
 """
 
 from __future__ import annotations
@@ -28,28 +37,40 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.buffering.optimizer import BufferingSolution
-from repro.kernels.line import evaluate_line_batch
+from repro.kernels import lut as klut
+from repro.kernels.line import evaluate_line_batch, supports_model
 
+#: Golden-section ratio.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _objective(delays: np.ndarray, powers: np.ndarray,
-               delay_weight: float) -> np.ndarray:
-    """Array form of ``_weighted_objective``."""
+def _objective(delay, power, delay_weight: float):
+    """``delay^w * power^(1-w)`` (scale-free weighted product), for
+    floats or per-lane arrays alike."""
     if delay_weight >= 1.0:
-        return delays
+        return delay
     if delay_weight <= 0.0:
-        return powers
-    return (delays**delay_weight * powers**(1.0 - delay_weight))
+        return power
+    return delay**delay_weight * power**(1.0 - delay_weight)
 
 
 def _evaluate(model, length: float, counts: np.ndarray,
               sizes: np.ndarray, input_slew: float, bus_width: int
               ) -> "tuple[np.ndarray, np.ndarray]":
-    """(delay, total_power) arrays at one probe point per lane."""
-    batch = evaluate_line_batch(model, length, counts, sizes,
-                                input_slew, bus_width=bus_width)
-    return batch.delay, batch.total_power
+    """(delay, total_power) arrays at one probe point per lane.
+
+    Models without a batched lane run their own ``evaluate`` per lane,
+    which is not counted under ``kernels.batches``.
+    """
+    if supports_model(model) or klut.serves_model(model):
+        batch = evaluate_line_batch(model, length, counts, sizes,
+                                    input_slew, bus_width=bus_width)
+        return batch.delay, batch.total_power
+    estimates = [model.evaluate(length, count, size, input_slew,
+                                bus_width=bus_width)
+                 for count, size in zip(counts.tolist(), sizes.tolist())]
+    return (np.array([estimate.delay for estimate in estimates]),
+            np.array([estimate.total_power for estimate in estimates]))
 
 
 def _best_sizes_for_counts(model, length: float, counts: np.ndarray,
@@ -58,8 +79,8 @@ def _best_sizes_for_counts(model, length: float, counts: np.ndarray,
                            ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Golden-section over size, all counts in lockstep.
 
-    Returns (sizes, objectives, delays) per lane, matching what
-    ``_best_size_for_count`` would return for each count.
+    Returns (sizes, objectives, delays) per lane: the best size found
+    for each count, its objective and its delay.
     """
     n = counts.size
     low = np.full(n, 1.0)
@@ -116,7 +137,8 @@ def optimize_buffering_batch(
     max_size: float,
     bus_width: int,
 ) -> BufferingSolution:
-    """Batched equivalent of ``optimize_buffering`` over given counts."""
+    """Best (count, size) over ``counts`` for the weighted objective
+    (see :func:`repro.buffering.optimizer.optimize_buffering`)."""
     count_array = np.asarray(list(counts), dtype=int)
     sizes, objectives, _ = _best_sizes_for_counts(
         model, length, count_array, input_slew, delay_weight, max_size,
@@ -126,8 +148,9 @@ def optimize_buffering_batch(
     size = float(sizes[index])
     estimate = model.evaluate(length, count, size, input_slew,
                               bus_width=bus_width)
-    return BufferingSolution(count, size, estimate,
-                             float(objectives[index]))
+    return BufferingSolution(
+        count, size, estimate,
+        _objective(estimate.delay, estimate.total_power, delay_weight))
 
 
 def minimize_power_under_delay_batch(
@@ -139,18 +162,22 @@ def minimize_power_under_delay_batch(
     bus_width: int,
     counts: Sequence[int],
 ) -> Optional[BufferingSolution]:
-    """Batched equivalent of ``minimize_power_under_delay``.
+    """Cheapest buffering over ``counts`` meeting ``max_delay`` (see
+    :func:`repro.buffering.optimizer.minimize_power_under_delay`).
+
+    Per count, the fastest size bounds a bisection for the smallest
+    size still meeting the bound (power falls monotonically with
+    size); counts whose fastest delay misses the bound are infeasible,
+    and the minimum-power count wins.
 
     LUT-served models whose artifact grid spans the whole search
     interval skip the bisection entirely: the smallest size meeting
     the bound is a closed-form cell crossing on the interpolated
     surface (see :mod:`repro.kernels.lut`).  Everything else — plain
-    models, or LUT queries outside the gridded region — runs the
-    lockstep bisection below, whose probes still serve from the
+    models, baselines, or LUT queries outside the gridded region — runs
+    the lockstep bisection below, whose probes still serve from the
     tables lane-by-lane where they can.
     """
-    from repro.kernels import lut as klut
-
     count_list = list(counts)
     if klut._serves_search(model, length, count_list, input_slew,
                            max_size):
@@ -183,7 +210,7 @@ def minimize_power_under_delay_batch(
         high = np.where(open_ & meets, mid, high)
         low = np.where(open_ & ~meets, mid, low)
     # at_min lanes never open, so their ``low`` is still the initial
-    # minimum size — reusing it mirrors the scalar's ``chosen = low``.
+    # minimum size.
     chosen = np.where(at_min, low, high)
     _, powers = _evaluate(model, length, count_array, chosen, input_slew,
                           bus_width)

@@ -352,11 +352,12 @@ class LinkDesigner:
                      ) -> "list[Optional[LinkDesign]]":
         """Designs for many lengths, warming every cache level.
 
-        Each design runs on the batched kernel scorer when the model
-        supports it (all repeater-count candidates searched as lanes of
-        one lockstep search), so pre-warming a synthesis run's distinct
-        candidate lengths through this entry point replaces thousands
-        of scalar model calls with a few dozen array calls.
+        A loop over :meth:`design`: each length is one search (its
+        repeater-count candidates are the lanes, so one array call per
+        search iteration), and lengths are not batched with each
+        other.  What pre-warming a synthesis run's distinct candidate
+        lengths through this entry point buys is the shared memo and
+        disk cache, not vectorization across lengths.
         """
         with span("link.design_batch", n=len(lengths),
                   bus_width=self.bus_width):

@@ -18,6 +18,7 @@ from repro.kernels.lut import (
 from repro.luts.interp import trilinear
 from repro.luts.model import first_order_line_delay
 from repro.units import mm
+from tests.buffering import reference_search as reference
 
 
 def _lane_queries(spec, lanes=64):
@@ -148,16 +149,16 @@ class TestSearchFastPath:
             assert fast.delay <= max_delay
 
     def test_tracks_scalar_search_power(self, suite90, lut90):
-        """The vectorized search over the LUT profile lands within a
-        few percent of the scalar golden-section search over the same
-        LUT model (flat power objective near the optimum — the exact
-        (count, size) pick may differ)."""
+        """The cell-crossing search over the LUT profile lands within a
+        few percent of the scalar reference search (golden-section +
+        bisection) over the same LUT model (flat power objective near
+        the optimum — the exact (count, size) pick may differ)."""
         tech = suite90.proposed.tech
         max_delay = 0.8 / tech.clock_frequency
         length = mm(6.0)
         fast = minimize_power_under_delay(lut90, length, max_delay)
-        scalar = minimize_power_under_delay(lut90, length, max_delay,
-                                            use_kernels=False)
+        scalar = reference.minimize_power_under_delay(lut90, length,
+                                                      max_delay)
         assert fast is not None and scalar is not None
         assert fast.power <= scalar.power * 1.10
 

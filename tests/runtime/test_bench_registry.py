@@ -146,6 +146,16 @@ class TestBaselineSamples:
         assert sample.n == 64
 
 
+    def test_serve_schema(self):
+        report = {"load": {"latency_p50_s": 0.009, "latency_p99_s": 0.02,
+                           "expected_requests": 256}}
+        samples = {sample.name: sample
+                   for sample in baseline_samples(report)}
+        assert samples["latency_p50"] == BenchSample(
+            "latency_p50", 0.009, 0.0, 256)
+        assert samples["latency_p99"].value == 0.02
+
+
 class TestDiffLatest:
     def test_against_baseline(self, tmp_path):
         history = tmp_path / "history.jsonl"
@@ -186,3 +196,20 @@ class TestDiffLatest:
         assert diff_latest(
             "kernels", history=history,
             baseline=tmp_path / "absent.json") is None
+
+    def test_serve_diff_compares_both_latencies(self, tmp_path):
+        history = tmp_path / "history.jsonl"
+        append_record(build_record(
+            "serve", node="90nm", quick=False, config={},
+            samples=[BenchSample("latency_p50", 0.0095, n=256),
+                     BenchSample("latency_p99", 0.0201, n=256)]),
+            history)
+        baseline = tmp_path / "BENCH_serve.json"
+        baseline.write_text(json.dumps({"load": {
+            "latency_p50_s": 0.0094, "latency_p99_s": 0.0200,
+            "expected_requests": 256, "requests": 256}}))
+        report = diff_latest("serve", history=history,
+                             baseline=baseline)
+        assert report is not None
+        assert report.compared == 2
+        assert report.regressions == []
